@@ -19,7 +19,7 @@ use hotcalls::sim::SimHotCalls;
 use hotcalls::telemetry::{ApiCensus, ApiCensusRow, CtlProvider, PlaneProvider, PlaneTelemetry};
 use hotcalls::{
     Controller, CtlStats, FusedMode, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy,
-    RingStats, ShardPolicy,
+    RingStats,
 };
 use sgx_sdk::edger8r::{edger8r, Proxies};
 use sgx_sdk::edl::{parse_edl, Direction};
@@ -202,7 +202,8 @@ impl RtPool {
             RtTransport::Sharded => ByteRing::spawn_sharded(
                 table,
                 RT_RING_CAPACITY,
-                ShardPolicy::elastic(1, RT_SHARDS),
+                RT_SHARDS,
+                ResponderPolicy::elastic(1, RT_SHARDS),
                 config,
             )?,
             // The single-ring shape with Auto fusing: a quiet application

@@ -49,10 +49,9 @@ use std::time::{Duration, Instant};
 use bench::artifact::ArtifactSink;
 use bench::report::{banner, Json};
 use bench::telemetry::append_snapshot;
-use hotcalls::rt::{CallTable, RingServer, ShardedServer, Ticket};
+use hotcalls::rt::{CallTable, RingServer, Ticket};
 use hotcalls::{
-    FusedMode, HotCallConfig, HotCallStats, ResponderPolicy, ShardPolicy, Snapshot,
-    TelemetryRegistry,
+    FusedMode, HotCallConfig, HotCallStats, ResponderPolicy, Snapshot, TelemetryRegistry,
 };
 
 /// Slots per ring (and per shard in Section B).
@@ -159,10 +158,11 @@ fn phase_workload(
         std::thread::sleep(IO_HANDLER_SLEEP);
         x + 1
     });
-    let server = ShardedServer::spawn(
+    let server = RingServer::spawn_sharded(
         table,
         RING_CAPACITY,
-        ShardPolicy::elastic(1, SHARDS),
+        SHARDS,
+        ResponderPolicy::elastic(1, SHARDS),
         pool_config(fused),
     )
     .expect("plane shape is valid");

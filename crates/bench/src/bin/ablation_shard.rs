@@ -26,7 +26,7 @@
 //! stealing must keep the bursty-skewed p99 close to the uniform p99: the
 //! three idle home responders probe shard 0 and drain it concurrently.
 //!
-//! **Section C — adaptive governor.** `ShardPolicy::elastic(1, 4)` vs the
+//! **Section C — adaptive governor.** `ResponderPolicy::elastic(1, 4)` vs the
 //! best static shard count from Section A at 4 requesters. The governor
 //! starts with every shard active and parks only on a useful-work
 //! drought, so under sustained load the elastic plane must hold the best
@@ -57,10 +57,8 @@ use bench::artifact::ArtifactSink;
 use bench::report::{banner, Json};
 use bench::rt_baseline::{scaling_throughput, MutexMailbox};
 use bench::telemetry::append_snapshot;
-use hotcalls::rt::{CallTable, RingServer, ShardedServer};
-use hotcalls::{
-    HotCallConfig, ResponderPolicy, RingStats, ShardPolicy, Snapshot, TelemetryRegistry,
-};
+use hotcalls::rt::{CallTable, RingServer};
+use hotcalls::{HotCallConfig, ResponderPolicy, RingStats, Snapshot, TelemetryRegistry};
 
 /// Slots per shard (and capacity of the single-ring comparison pools).
 const RING_CAPACITY: usize = 64;
@@ -103,8 +101,9 @@ fn io_table() -> CallTable<u64, u64> {
     table
 }
 
-fn io_sharded(policy: ShardPolicy) -> ShardedServer<u64, u64> {
-    ShardedServer::spawn(io_table(), RING_CAPACITY, policy, pool_config())
+/// A plane of `policy.max` shards, one home responder each.
+fn io_sharded(policy: ResponderPolicy) -> RingServer<u64, u64> {
+    RingServer::spawn_sharded(io_table(), RING_CAPACITY, policy.max, policy, pool_config())
         .expect("plane shape is valid")
 }
 
@@ -116,7 +115,7 @@ fn io_sharded(policy: ShardPolicy) -> ShardedServer<u64, u64> {
 /// run still sees this plane's counters after shutdown).
 fn sharded_throughput(
     requesters: usize,
-    policy: ShardPolicy,
+    policy: ResponderPolicy,
     pin_to_zero: bool,
     measure: Duration,
     register: Option<(&TelemetryRegistry, &str)>,
@@ -216,7 +215,7 @@ fn skew_p99_us(
     register: Option<(&TelemetryRegistry, &str)>,
 ) -> (f64, RingStats) {
     use std::sync::atomic::{AtomicBool, Ordering};
-    let server = io_sharded(ShardPolicy::fixed(CHECK_SHARDS));
+    let server = io_sharded(ResponderPolicy::fixed(CHECK_SHARDS));
     if let Some((registry, name)) = register {
         registry.register_plane(server.telemetry_provider(name));
     }
@@ -311,8 +310,13 @@ fn main() {
             let plane_name = format!("grid-{req}req-{shards}shards");
             let register = (req == CHECK_REQUESTERS && (shards == 1 || shards == CHECK_SHARDS))
                 .then_some((&registry, plane_name.as_str()));
-            let (sharded_cps, stats) =
-                sharded_throughput(req, ShardPolicy::fixed(shards), false, measure, register);
+            let (sharded_cps, stats) = sharded_throughput(
+                req,
+                ResponderPolicy::fixed(shards),
+                false,
+                measure,
+                register,
+            );
             let pool_cps = single_ring_throughput(req, shards, measure);
             println!(
                 "  {req} req | {shards} shards {sharded_cps:>10.0}  pool({shards} resp) \
@@ -359,7 +363,7 @@ fn main() {
     // Section C: adaptive governor vs the best static shape.
     let (adaptive_cps, adaptive_stats) = sharded_throughput(
         CHECK_REQUESTERS,
-        ShardPolicy::elastic(1, CHECK_SHARDS),
+        ResponderPolicy::elastic(1, CHECK_SHARDS),
         false,
         measure,
         Some((&registry, "adaptive")),

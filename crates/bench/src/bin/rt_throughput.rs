@@ -70,9 +70,9 @@ use bench::artifact::ArtifactSink;
 use bench::report::Json;
 use bench::rt_baseline::{scaling_throughput, MutexMailbox};
 use bench::telemetry::append_snapshot;
-use hotcalls::rt::{ByteCallTable, ByteRing, CallTable, HotCallServer, RingServer, ShardedServer};
+use hotcalls::rt::{ByteCallTable, ByteRing, CallTable, HotCallServer, RingServer};
 use hotcalls::{
-    Controller, FusedMode, HotCallConfig, ResponderPolicy, ShardPolicy, Snapshot, TelemetryRegistry,
+    Controller, FusedMode, HotCallConfig, ResponderPolicy, Snapshot, TelemetryRegistry,
 };
 
 const RING_CAPACITY: usize = 64;
@@ -336,10 +336,11 @@ fn shard_cell(
         }),
         _ => unreachable!("unknown workload"),
     };
-    let server = ShardedServer::spawn(
+    let server = RingServer::spawn_sharded(
         table,
         RING_CAPACITY,
-        ShardPolicy::fixed(shards),
+        shards,
+        ResponderPolicy::fixed(shards),
         pool_config(),
     )
     .expect("shard shape is valid");
@@ -589,7 +590,8 @@ fn telemetry_exemplar(shards: usize) -> Snapshot {
     let ring = ByteRing::spawn_sharded(
         table,
         RING_CAPACITY,
-        ShardPolicy::fixed(shards),
+        shards,
+        ResponderPolicy::fixed(shards),
         pool_config(),
     )
     .expect("plane shape is valid");

@@ -21,12 +21,12 @@
 //!
 //! Two consumption styles are provided:
 //!
-//! * **Futures** — [`RingRequester::call_async`],
-//!   [`ShardedRequester::call_async`] and [`Requester::call_async`]
-//!   return one future per call; drive them with any executor, or with
-//!   the bundled [`block_on`] for executor-free tests and tools.
+//! * **Futures** — [`RingRequester::call_async`] and
+//!   [`Requester::call_async`] return one future per call; drive them
+//!   with any executor, or with the bundled [`block_on`] for
+//!   executor-free tests and tools.
 //! * **Reactor** — [`Reactor`] keeps a set of in-flight tickets on a
-//!   [`ReapPlane`] and batch-reaps them through the deadline-bounded
+//!   [`RingRequester`] and batch-reaps them through the deadline-bounded
 //!   `wait_any` variants, the shape an event loop (one thread, many
 //!   thousands of logical connections) wants: submissions are never gated
 //!   on completions, and one reap sweep retires everything that finished.
@@ -45,7 +45,7 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use crate::error::Result;
-use crate::rt::{MailTicket, Requester, RingRequester, ShardedRequester, Ticket};
+use crate::rt::{MailTicket, Requester, RingRequester, Ticket};
 
 /// A park/unpark waker for [`block_on`]: `wake` sets the flag and unparks
 /// the blocked thread. The flag absorbs wakes that land before the park,
@@ -141,50 +141,6 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     }
 }
 
-/// An in-flight call on a [`ShardedRequester`], awaiting its response.
-///
-/// Dropping the future before completion abandons the call (see
-/// [`Ticket`]).
-#[must_use = "futures do nothing unless you `.await` or poll them"]
-pub struct ShardCallFuture<'r, Req, Resp> {
-    requester: &'r ShardedRequester<Req, Resp>,
-    ticket: Option<Ticket>,
-}
-
-impl<Req, Resp> core::fmt::Debug for ShardCallFuture<'_, Req, Resp> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ShardCallFuture")
-            .field("ticket", &self.ticket)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<Req, Resp> Future for ShardCallFuture<'_, Req, Resp> {
-    type Output = Result<Resp>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = &mut *self;
-        this.requester.poll_ticket(&mut this.ticket, cx)
-    }
-}
-
-impl<Req, Resp> ShardedRequester<Req, Resp> {
-    /// Submits a call on the home shard and returns a future resolving to
-    /// its response.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedRequester::submit`] — claim-phase failures surface
-    /// here, completion-phase errors resolve through the future.
-    pub fn call_async(&self, id: u32, req: Req) -> Result<ShardCallFuture<'_, Req, Resp>> {
-        let ticket = self.submit_async(id, req)?;
-        Ok(ShardCallFuture {
-            requester: self,
-            ticket: Some(ticket),
-        })
-    }
-}
-
 /// An in-flight call on the single-slot mailbox plane, awaiting its
 /// response.
 ///
@@ -231,69 +187,6 @@ impl<Req, Resp> Requester<Req, Resp> {
     }
 }
 
-/// A plane the [`Reactor`] can submit to and batch-reap from: the ring
-/// and sharded requesters, unified over their pipelined submit and
-/// deadline-bounded `wait_any` primitives.
-pub trait ReapPlane {
-    /// Request payload type.
-    type Req;
-    /// Response payload type.
-    type Resp;
-
-    /// Pipelined submit: claim a slot, publish, return the ticket.
-    ///
-    /// # Errors
-    ///
-    /// Claim-phase failures (timeout, shutdown), per the plane's `submit`.
-    fn submit_open(&self, id: u32, req: Self::Req) -> Result<Ticket>;
-
-    /// Reap one completion, waiting at most until `deadline`; `Ok(None)`
-    /// if nothing completed in time (or the set is empty).
-    ///
-    /// # Errors
-    ///
-    /// Per the plane's `wait_any_until`.
-    fn reap_any_until(
-        &self,
-        tickets: &mut Vec<Ticket>,
-        deadline: Instant,
-    ) -> Result<Option<(u64, Self::Resp)>>;
-}
-
-impl<Req, Resp> ReapPlane for RingRequester<Req, Resp> {
-    type Req = Req;
-    type Resp = Resp;
-
-    fn submit_open(&self, id: u32, req: Req) -> Result<Ticket> {
-        self.submit(id, req)
-    }
-
-    fn reap_any_until(
-        &self,
-        tickets: &mut Vec<Ticket>,
-        deadline: Instant,
-    ) -> Result<Option<(u64, Resp)>> {
-        self.wait_any_until(tickets, deadline)
-    }
-}
-
-impl<Req, Resp> ReapPlane for ShardedRequester<Req, Resp> {
-    type Req = Req;
-    type Resp = Resp;
-
-    fn submit_open(&self, id: u32, req: Req) -> Result<Ticket> {
-        self.submit(id, req)
-    }
-
-    fn reap_any_until(
-        &self,
-        tickets: &mut Vec<Ticket>,
-        deadline: Instant,
-    ) -> Result<Option<(u64, Resp)>> {
-        self.wait_any_until(tickets, deadline)
-    }
-}
-
 /// A batching reap loop over one requester: the event-loop front end.
 ///
 /// Where one future tracks one call, the reactor tracks *many* — an
@@ -303,12 +196,12 @@ impl<Req, Resp> ReapPlane for ShardedRequester<Req, Resp> {
 /// [`Reactor::drain_until`] when it has nothing else to do). Reaping is
 /// batched through the plane's deadline-bounded `wait_any`, so a sweep
 /// costs one oldest-first scan regardless of how many tickets finish.
-pub struct Reactor<'p, P: ReapPlane> {
-    plane: &'p P,
+pub struct Reactor<'p, Req, Resp> {
+    plane: &'p RingRequester<Req, Resp>,
     inflight: Vec<Ticket>,
 }
 
-impl<P: ReapPlane> core::fmt::Debug for Reactor<'_, P> {
+impl<Req, Resp> core::fmt::Debug for Reactor<'_, Req, Resp> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Reactor")
             .field("inflight", &self.inflight.len())
@@ -316,9 +209,9 @@ impl<P: ReapPlane> core::fmt::Debug for Reactor<'_, P> {
     }
 }
 
-impl<'p, P: ReapPlane> Reactor<'p, P> {
+impl<'p, Req, Resp> Reactor<'p, Req, Resp> {
     /// A reactor over `plane` with no calls in flight.
-    pub fn new(plane: &'p P) -> Self {
+    pub fn new(plane: &'p RingRequester<Req, Resp>) -> Self {
         Reactor {
             plane,
             inflight: Vec::new(),
@@ -331,8 +224,8 @@ impl<'p, P: ReapPlane> Reactor<'p, P> {
     /// # Errors
     ///
     /// As the plane's submit; on error nothing is tracked.
-    pub fn submit(&mut self, id: u32, req: P::Req) -> Result<u64> {
-        let ticket = self.plane.submit_open(id, req)?;
+    pub fn submit(&mut self, id: u32, req: Req) -> Result<u64> {
+        let ticket = self.plane.submit(id, req)?;
         let seq = ticket.seq();
         self.inflight.push(ticket);
         Ok(seq)
@@ -355,11 +248,11 @@ impl<'p, P: ReapPlane> Reactor<'p, P> {
     pub fn drain_until(
         &mut self,
         deadline: Instant,
-        mut sink: impl FnMut(u64, P::Resp),
+        mut sink: impl FnMut(u64, Resp),
     ) -> Result<usize> {
         let mut reaped = 0;
         while !self.inflight.is_empty() {
-            match self.plane.reap_any_until(&mut self.inflight, deadline)? {
+            match self.plane.wait_any_until(&mut self.inflight, deadline)? {
                 Some((seq, resp)) => {
                     sink(seq, resp);
                     reaped += 1;
@@ -376,7 +269,7 @@ impl<'p, P: ReapPlane> Reactor<'p, P> {
     /// # Errors
     ///
     /// As [`Reactor::drain_until`].
-    pub fn poll_completions(&mut self, sink: impl FnMut(u64, P::Resp)) -> Result<usize> {
+    pub fn poll_completions(&mut self, sink: impl FnMut(u64, Resp)) -> Result<usize> {
         // An already-expired deadline still gets exactly one scan per
         // reap, which is precisely the non-blocking semantic.
         self.drain_until(Instant::now(), sink)
@@ -389,11 +282,7 @@ impl<'p, P: ReapPlane> Reactor<'p, P> {
     /// # Errors
     ///
     /// As [`Reactor::drain_until`].
-    pub fn drain_all(
-        &mut self,
-        step: Duration,
-        mut sink: impl FnMut(u64, P::Resp),
-    ) -> Result<usize> {
+    pub fn drain_all(&mut self, step: Duration, mut sink: impl FnMut(u64, Resp)) -> Result<usize> {
         let mut reaped = 0;
         while !self.inflight.is_empty() {
             reaped += self.drain_until(Instant::now() + step, &mut sink)?;
@@ -451,7 +340,11 @@ mod tests {
     #[test]
     fn dropped_future_abandons_not_wedges() {
         let (t, inc) = inc_table();
-        let server = RingServer::spawn(t, 4, HotCallConfig::default());
+        // Patient claims: a submission lapping onto a dropped call's slot
+        // waits for the responder to complete it however long the host
+        // keeps the responder off-core, instead of spending the default
+        // 10×16-spin budget and failing on a loaded box.
+        let server = RingServer::spawn(t, 4, HotCallConfig::patient());
         let r = server.requester();
         // Drop more futures than the ring holds; the slots must recycle.
         for i in 0..64u64 {

@@ -160,9 +160,11 @@ impl HotCallConfig {
 /// idea applied to the paper's "On Call" threads): instead of a fixed
 /// `n_responders`, the pool holds `max` threads of which between `min` and
 /// `max` are *active* at any moment. Requesters raise the active target
-/// when the ring backs up; the top active responder demotes itself and
+/// when their ring backs up; the top active responder demotes itself and
 /// parks after a long useful-work drought. Parked responders cost nothing
-/// — per-call wakeups never reach them.
+/// — per-call wakeups never reach them. On a sharded plane the same
+/// policy governs the whole pool: a shard whose home responders are all
+/// parked is left to the stealers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResponderPolicy {
     /// Responders that are never parked (at least 1).
@@ -260,109 +262,6 @@ impl ResponderPolicy {
     }
 }
 
-/// Sizing policy for a sharded data plane: N independent rings, each with
-/// its own responder, requesters pinned to a home shard by the router.
-/// Like [`ResponderPolicy`] but the unit of elasticity is a whole shard —
-/// parking a shard stops the router from assigning new requesters to it
-/// and leaves its residual submissions to the stealing responders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardPolicy {
-    /// Number of shards (= responder threads). `0` means "auto": resolve
-    /// to the host's available parallelism at spawn time.
-    pub shards: usize,
-    /// Shards that are never parked (at least 1).
-    pub min_active: usize,
-    /// Per-shard queued-submission count above which a requester raises
-    /// the active-shard target (at least 1).
-    pub target_occupancy: usize,
-    /// Consecutive polls without useful work after which the top active
-    /// shard's responder demotes itself and parks the shard.
-    pub park_after_idle_polls: u64,
-}
-
-impl Default for ShardPolicy {
-    fn default() -> Self {
-        ShardPolicy {
-            shards: 0,
-            min_active: 1,
-            target_occupancy: 2,
-            park_after_idle_polls: 2_048,
-        }
-    }
-}
-
-impl ShardPolicy {
-    /// A static plane of exactly `n` always-active shards (the governor is
-    /// disabled).
-    pub fn fixed(n: usize) -> Self {
-        ShardPolicy {
-            shards: n,
-            min_active: n,
-            ..Self::default()
-        }
-    }
-
-    /// An elastic plane of `shards` shards, between `min_active` and
-    /// `shards` of them active.
-    pub fn elastic(min_active: usize, shards: usize) -> Self {
-        ShardPolicy {
-            shards,
-            min_active,
-            ..Self::default()
-        }
-    }
-
-    /// An elastic plane sized to the host: one shard per hardware thread,
-    /// parking down to one when idle.
-    pub fn auto() -> Self {
-        ShardPolicy::default()
-    }
-
-    /// The shard count this policy resolves to (auto = available
-    /// parallelism, never zero).
-    pub fn resolved_shards(&self) -> usize {
-        if self.shards != 0 {
-            return self.shards;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    /// Does this policy ever park a shard?
-    pub fn is_adaptive(&self) -> bool {
-        self.resolved_shards() > self.min_active
-    }
-
-    /// Rejects contradictory shard bounds before the plane is built on
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::HotCallError::InvalidConfig`] when `min_active` is zero,
-    /// exceeds the resolved shard count, or an adaptive policy would park
-    /// a shard after zero idle polls.
-    pub fn validate(&self) -> crate::error::Result<()> {
-        use crate::error::HotCallError::InvalidConfig;
-        if self.min_active == 0 {
-            return Err(InvalidConfig(
-                "a sharded plane must keep at least one active shard",
-            ));
-        }
-        if self.min_active > self.resolved_shards() {
-            return Err(InvalidConfig(
-                "shard policy min_active must not exceed the shard count",
-            ));
-        }
-        if self.is_adaptive() && self.park_after_idle_polls == 0 {
-            return Err(InvalidConfig(
-                "an adaptive shard policy must allow at least one idle poll before parking",
-            ));
-        }
-        Ok(())
-    }
-}
-
 // The stats snapshot structs historically lived here as ad-hoc counter
 // bags; their canonical definitions moved into [`crate::telemetry`], the
 // unified snapshot layer. These re-exports are kept as thin shims so the
@@ -411,15 +310,6 @@ mod tests {
             ..ResponderPolicy::default()
         };
         assert_eq!(p.target_occupancy_clamped(), 1);
-    }
-
-    #[test]
-    fn shard_policy_shapes() {
-        assert!(!ShardPolicy::fixed(4).is_adaptive());
-        assert!(ShardPolicy::elastic(1, 4).is_adaptive());
-        assert_eq!(ShardPolicy::fixed(4).resolved_shards(), 4);
-        // Auto resolves to the host's parallelism, never zero.
-        assert!(ShardPolicy::auto().resolved_shards() >= 1);
     }
 
     #[test]
@@ -476,26 +366,6 @@ mod tests {
         }
         .validate()
         .is_ok());
-
-        assert!(ShardPolicy::auto().validate().is_ok());
-        assert!(ShardPolicy {
-            min_active: 0,
-            ..ShardPolicy::fixed(2)
-        }
-        .validate()
-        .is_err());
-        assert!(ShardPolicy {
-            min_active: 5,
-            ..ShardPolicy::fixed(4)
-        }
-        .validate()
-        .is_err());
-        assert!(ShardPolicy {
-            park_after_idle_polls: 0,
-            ..ShardPolicy::elastic(1, 4)
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!   between calls), so a low-rate API demotes itself back to the SDK
 //!   fallback exactly when `rate x (sdk - hot) cycles` stops covering the
 //!   core it keeps busy.
-//! * [`AutoSizer`] — resizes the responder pool / active-shard target and
-//!   the bundle flush threshold from a worker-efficiency metric (the
-//!   useful-work poll ratio the governor already exports), replacing the
-//!   static `ResponderPolicy` / `ShardPolicy` numbers with
+//! * [`AutoSizer`] — resizes the active responder target and the bundle
+//!   flush threshold from a worker-efficiency metric (the useful-work poll
+//!   ratio the governor already exports), replacing the static
+//!   `ResponderPolicy` numbers with
 //!   [`crate::ResponderPolicy::auto`]-style bounds.
 //!
 //! Both halves are **hysteretic** — flips require a margin, a minimum

@@ -19,6 +19,9 @@ pub enum HotCallError {
     ResponderGone,
     /// No function is registered at the requested call id.
     UnknownCallId(u32),
+    /// The handler panicked while servicing the call. The responder caught
+    /// the panic and keeps serving; only this call failed.
+    HandlerPanicked,
     /// A server constructor was given an unusable parameter (zero ring
     /// capacity, empty responder pool).
     InvalidConfig(&'static str),
@@ -34,6 +37,7 @@ impl fmt::Display for HotCallError {
             }
             HotCallError::ResponderGone => write!(f, "responder thread has shut down"),
             HotCallError::UnknownCallId(id) => write!(f, "no call registered with id {id}"),
+            HotCallError::HandlerPanicked => write!(f, "the call's handler panicked"),
             HotCallError::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
             HotCallError::Sdk(e) => write!(f, "sdk: {e}"),
         }

@@ -18,9 +18,11 @@
 //!   timeout-fallback and idle-sleep mechanisms. The data plane is
 //!   lock-free (payloads in `UnsafeCell` slots guarded by the atomic state
 //!   machine, cache-line-padded hot words), and [`rt::RingServer`] scales
-//!   it out: a multi-slot submission ring served by a pool of responders
-//!   ([`rt::RingServer::spawn_pool`]) that drain submitted slots in
-//!   batches. The ring is *pipelined*: [`rt::RingRequester::submit`] /
+//!   it out: one engine of multi-slot submission rings served by a pool
+//!   of responders ([`rt::RingServer::spawn_pool`]) that drain submitted
+//!   slots in batches — one shared ring, or N shards with work-stealing
+//!   responders ([`rt::RingServer::spawn_sharded`]). The ring is
+//!   *pipelined*: [`rt::RingRequester::submit`] /
 //!   [`rt::RingRequester::wait_any`] keep many calls in flight per
 //!   requester, [`rt::Bundle`] packs N small calls into one submission,
 //!   and [`rt::RingServer::spawn_adaptive`] replaces the static pool size
@@ -57,10 +59,9 @@ pub mod rt;
 pub mod sim;
 pub mod telemetry;
 
-pub use aio::{block_on, Reactor, ReapPlane};
+pub use aio::{block_on, Reactor};
 pub use config::{
-    FusedMode, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
-    ShardStats,
+    FusedMode, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardStats,
 };
 pub use ctl::{
     ApiRouter, ChunkPolicy, ChunkSizer, Controller, CtlPolicy, CtlStats, SizerPolicy, Transport,

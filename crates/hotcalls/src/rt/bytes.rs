@@ -15,15 +15,12 @@
 //! whatever the previous call left there — the NRZ discipline: write your
 //! response, report its length, and nobody pays for zeroing in between.
 
-use crate::config::{
-    GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
-};
+use crate::config::{GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats};
 use crate::error::Result;
 use crate::telemetry::{PlaneProvider, PlaneTelemetry};
 
 use super::arena::{ArenaStats, HotBuf, SlabArena};
 use super::ring::{Bundle, RingRequester, RingServer, Ticket};
-use super::shard::{ShardedRequester, ShardedServer};
 use super::CallTable;
 
 /// A call table whose handlers transform byte payloads in place.
@@ -85,15 +82,7 @@ impl ByteCallTable {
 /// ```
 #[derive(Debug)]
 pub struct ByteRing {
-    plane: BytePlane,
-}
-
-/// The transport behind a [`ByteRing`]: one shared ring, or the sharded
-/// multi-ring plane.
-#[derive(Debug)]
-enum BytePlane {
-    Single(RingServer<HotBuf, HotBuf>),
-    Sharded(ShardedServer<HotBuf, HotBuf>),
+    server: RingServer<HotBuf, HotBuf>,
 }
 
 impl ByteRing {
@@ -108,14 +97,8 @@ impl ByteRing {
         n_responders: usize,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(ByteRing {
-            plane: BytePlane::Single(RingServer::spawn_pool(
-                table.inner,
-                capacity,
-                n_responders,
-                config,
-            )?),
-        })
+        RingServer::spawn_pool(table.inner, capacity, n_responders, config)
+            .map(|server| ByteRing { server })
     }
 
     /// Spawns an adaptive pool governed by `policy` (see
@@ -132,266 +115,129 @@ impl ByteRing {
         policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(ByteRing {
-            plane: BytePlane::Single(RingServer::spawn_adaptive(
-                table.inner,
-                capacity,
-                policy,
-                config,
-            )?),
-        })
+        RingServer::spawn_adaptive(table.inner, capacity, policy, config)
+            .map(|server| ByteRing { server })
     }
 
-    /// Spawns the sharded plane (see [`ShardedServer::spawn`]):
-    /// `policy.resolved_shards()` independent rings of
-    /// `capacity_per_shard` slots each, one work-stealing responder per
-    /// shard, callers pinned to home shards by the router.
+    /// Spawns the sharded shape (see [`RingServer::spawn_sharded`]):
+    /// `shards` independent rings of `capacity_per_shard` slots each,
+    /// `policy.max` work-stealing responders homed round-robin on them,
+    /// callers pinned to home shards by the router.
     ///
     /// # Errors
     ///
-    /// As [`ShardedServer::spawn`].
+    /// As [`RingServer::spawn_sharded`].
     pub fn spawn_sharded(
         table: ByteCallTable,
         capacity_per_shard: usize,
-        policy: ShardPolicy,
+        shards: usize,
+        policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(ByteRing {
-            plane: BytePlane::Sharded(ShardedServer::spawn(
-                table.inner,
-                capacity_per_shard,
-                policy,
-                config,
-            )?),
-        })
+        RingServer::spawn_sharded(table.inner, capacity_per_shard, shards, policy, config)
+            .map(|server| ByteRing { server })
+    }
+
+    fn caller_for(requester: RingRequester<HotBuf, HotBuf>) -> ByteCaller {
+        ByteCaller {
+            requester,
+            arena: SlabArena::new(),
+        }
     }
 
     /// A caller handle with its own private arena (no cross-thread
-    /// coordination on the buffer path). On a sharded plane the caller is
-    /// pinned to a router-chosen home shard.
+    /// coordination on the buffer path), pinned to a router-chosen home
+    /// shard.
     pub fn caller(&self) -> ByteCaller {
-        let requester = match &self.plane {
-            BytePlane::Single(server) => ByteRequester::Single(server.requester()),
-            BytePlane::Sharded(server) => ByteRequester::Sharded(server.requester()),
-        };
-        ByteCaller {
-            requester,
-            arena: SlabArena::new(),
-        }
+        Self::caller_for(self.server.requester())
     }
 
-    /// A caller placed on logical core `core`: on a sharded plane the
-    /// home shard is chosen placement-aware (see
-    /// [`ShardedServer::requester_near`]) so the handoff stays same-core
-    /// or at least same-node when an on-node shard is active; on a
-    /// single-ring plane there is nothing to choose.
+    /// A caller placed on logical core `core`: the home shard is chosen
+    /// placement-aware (see [`RingServer::requester_near`]) so the handoff
+    /// stays same-core or at least same-node when an on-node shard is
+    /// active.
     pub fn caller_near(&self, core: usize, topology: &sgx_sim::Topology) -> ByteCaller {
-        let requester = match &self.plane {
-            BytePlane::Single(server) => ByteRequester::Single(server.requester()),
-            BytePlane::Sharded(server) => {
-                ByteRequester::Sharded(server.requester_near(core, topology))
-            }
-        };
-        ByteCaller {
-            requester,
-            arena: SlabArena::new(),
-        }
+        Self::caller_for(self.server.requester_near(core, topology))
     }
 
     /// A caller pinned to an explicit home shard — the affinity override
-    /// for workloads that partition connections themselves. On a
-    /// single-ring plane only shard 0 exists.
+    /// for workloads that partition connections themselves.
     ///
     /// # Errors
     ///
     /// [`crate::HotCallError::InvalidConfig`] if `shard` is out of range.
     pub fn caller_on(&self, shard: usize) -> Result<ByteCaller> {
-        let requester = match &self.plane {
-            BytePlane::Single(server) => {
-                if shard != 0 {
-                    return Err(crate::error::HotCallError::InvalidConfig(
-                        "shard affinity index out of range",
-                    ));
-                }
-                ByteRequester::Single(server.requester())
-            }
-            BytePlane::Sharded(server) => ByteRequester::Sharded(server.requester_on(shard)?),
-        };
-        Ok(ByteCaller {
-            requester,
-            arena: SlabArena::new(),
-        })
+        self.server.requester_on(shard).map(Self::caller_for)
     }
 
     /// Number of responder threads in the pool (active and parked).
     pub fn responders(&self) -> usize {
-        match &self.plane {
-            BytePlane::Single(server) => server.responders(),
-            BytePlane::Sharded(server) => server.shards(),
-        }
+        self.server.responders()
     }
 
-    /// Number of ring shards (1 for the single-ring plane).
+    /// Number of ring shards (1 for the shared-ring shapes).
     pub fn shards(&self) -> usize {
-        match &self.plane {
-            BytePlane::Single(_) => 1,
-            BytePlane::Sharded(server) => server.shards(),
-        }
+        self.server.shards()
     }
 
     /// Transport statistics, aggregated over the responder pool.
     pub fn stats(&self) -> HotCallStats {
-        match &self.plane {
-            BytePlane::Single(server) => server.stats(),
-            BytePlane::Sharded(server) => server.stats(),
-        }
+        self.server.stats()
     }
 
     /// The governor's current shape and decision counters.
     pub fn governor_stats(&self) -> GovernorStats {
-        match &self.plane {
-            BytePlane::Single(server) => server.governor_stats(),
-            BytePlane::Sharded(server) => server.governor_stats(),
-        }
+        self.server.governor_stats()
     }
 
-    /// Sets the plane's active responder/shard target (the `ctl` sizer's
-    /// control surface), clamped into the policy's bounds, and returns
-    /// the value installed. See [`RingServer::set_active_responders`] and
-    /// [`ShardedServer::set_active_shards`].
+    /// Sets the plane's active responder target (the `ctl` sizer's control
+    /// surface), clamped into the policy's bounds, and returns the value
+    /// installed. See [`RingServer::set_active_responders`].
     pub fn set_active(&self, n: usize) -> usize {
-        match &self.plane {
-            BytePlane::Single(server) => server.set_active_responders(n),
-            BytePlane::Sharded(server) => server.set_active_shards(n),
-        }
+        self.server.set_active_responders(n)
     }
 
-    /// The full per-shard snapshot. A single-ring plane reports itself as
-    /// one degenerate shard (no probes, no steals).
+    /// The full per-shard snapshot (a shared-ring plane reports one row).
     pub fn ring_stats(&self) -> RingStats {
-        match &self.plane {
-            BytePlane::Single(server) => {
-                RingStats::from_single(server.stats(), server.governor_stats())
-            }
-            BytePlane::Sharded(server) => server.ring_stats(),
-        }
+        self.server.ring_stats()
     }
 
     /// A full telemetry view of the byte plane: per-lane stage histograms,
     /// reap latency, and the shard-schema stats, tagged with a byte-plane
     /// kind so dashboards can tell payload lanes from typed rings.
     pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
-        let mut t = match &self.plane {
-            BytePlane::Single(server) => server.telemetry(name),
-            BytePlane::Sharded(server) => server.telemetry(name),
-        };
-        t.kind = self.plane_kind();
-        t
+        PlaneTelemetry {
+            kind: self.plane_kind(),
+            ..self.server.telemetry(name)
+        }
     }
 
     /// A boxed provider for [`crate::TelemetryRegistry::register_plane`],
     /// capturing the plane's shared state so snapshots stay live after
     /// this handle is dropped.
     pub fn telemetry_provider(&self, name: impl Into<String>) -> PlaneProvider {
-        let kind = self.plane_kind();
-        let inner = match &self.plane {
-            BytePlane::Single(server) => server.telemetry_provider(name),
-            BytePlane::Sharded(server) => server.telemetry_provider(name),
-        };
-        Box::new(move || {
-            let mut t = inner();
-            t.kind = kind;
-            t
-        })
+        self.server.telemetry_provider_as(name, self.plane_kind())
     }
 
     fn plane_kind(&self) -> &'static str {
-        match &self.plane {
-            BytePlane::Single(_) => "byte-single",
-            BytePlane::Sharded(_) => "byte-sharded",
+        if self.shards() > 1 {
+            "byte-sharded"
+        } else {
+            "byte-single"
         }
     }
 
     /// Stops the responders and joins them.
     pub fn shutdown(self) {
-        match self.plane {
-            BytePlane::Single(server) => server.shutdown(),
-            BytePlane::Sharded(server) => server.shutdown(),
-        }
+        self.server.shutdown();
     }
 }
 
 /// A byte-call handle owning the arena its payloads cycle through.
 #[derive(Debug)]
 pub struct ByteCaller {
-    requester: ByteRequester,
+    requester: RingRequester<HotBuf, HotBuf>,
     arena: SlabArena,
-}
-
-/// The requester half matching [`BytePlane`]: shared-ring or pinned to a
-/// home shard of the sharded plane.
-#[derive(Debug)]
-enum ByteRequester {
-    Single(RingRequester<HotBuf, HotBuf>),
-    Sharded(ShardedRequester<HotBuf, HotBuf>),
-}
-
-impl ByteRequester {
-    fn call(&self, id: u32, buf: HotBuf) -> Result<HotBuf> {
-        match self {
-            ByteRequester::Single(r) => r.call(id, buf),
-            ByteRequester::Sharded(r) => r.call(id, buf),
-        }
-    }
-
-    fn submit(&self, id: u32, buf: HotBuf) -> Result<Ticket> {
-        match self {
-            ByteRequester::Single(r) => r.submit(id, buf),
-            ByteRequester::Sharded(r) => r.submit(id, buf),
-        }
-    }
-
-    fn wait(&self, ticket: Ticket) -> Result<HotBuf> {
-        match self {
-            ByteRequester::Single(r) => r.wait(ticket),
-            ByteRequester::Sharded(r) => r.wait(ticket),
-        }
-    }
-
-    fn wait_any(&self, tickets: &mut Vec<Ticket>) -> Result<(u64, HotBuf)> {
-        match self {
-            ByteRequester::Single(r) => r.wait_any(tickets),
-            ByteRequester::Sharded(r) => r.wait_any(tickets),
-        }
-    }
-
-    fn call_bundle(&self, bundle: Bundle<HotBuf>) -> Result<Vec<Result<HotBuf>>> {
-        match self {
-            ByteRequester::Single(r) => r.call_bundle(bundle),
-            ByteRequester::Sharded(r) => r.call_bundle(bundle),
-        }
-    }
-
-    fn stats(&self) -> HotCallStats {
-        match self {
-            ByteRequester::Single(r) => r.stats(),
-            ByteRequester::Sharded(r) => r.stats(),
-        }
-    }
-
-    fn governor_stats(&self) -> GovernorStats {
-        match self {
-            ByteRequester::Single(r) => r.governor_stats(),
-            ByteRequester::Sharded(r) => r.governor_stats(),
-        }
-    }
-
-    fn home(&self) -> usize {
-        match self {
-            ByteRequester::Single(_) => 0,
-            ByteRequester::Sharded(r) => r.home(),
-        }
-    }
 }
 
 impl ByteCaller {
@@ -527,7 +373,7 @@ impl ByteCaller {
     }
 
     /// The home shard this caller's submissions land on (always 0 on a
-    /// single-ring plane).
+    /// shared-ring plane).
     pub fn home_shard(&self) -> usize {
         self.requester.home()
     }
@@ -762,7 +608,8 @@ mod tests {
     fn sharded_byte_ring_roundtrips_and_reports_shards() {
         let (t, rev, _) = echo_table();
         let ring =
-            ByteRing::spawn_sharded(t, 8, ShardPolicy::fixed(2), HotCallConfig::patient()).unwrap();
+            ByteRing::spawn_sharded(t, 8, 2, ResponderPolicy::fixed(2), HotCallConfig::patient())
+                .unwrap();
         assert_eq!(ring.shards(), 2);
         assert_eq!(ring.responders(), 2);
         let mut a = ring.caller();
@@ -784,7 +631,8 @@ mod tests {
     fn sharded_byte_bundle_and_affinity_override() {
         let (t, rev, _) = echo_table();
         let ring =
-            ByteRing::spawn_sharded(t, 8, ShardPolicy::fixed(2), HotCallConfig::patient()).unwrap();
+            ByteRing::spawn_sharded(t, 8, 2, ResponderPolicy::fixed(2), HotCallConfig::patient())
+                .unwrap();
         let mut caller = ring.caller_on(1).unwrap();
         assert_eq!(caller.home_shard(), 1);
         assert!(ring.caller_on(2).is_err());
@@ -819,44 +667,35 @@ mod tests {
     #[test]
     fn fused_byte_calls_run_inline_and_recycle() {
         use crate::config::FusedMode;
-        let (t, rev, _) = echo_table();
-        let ring = ByteRing::spawn_pool(t, 4, 1, HotCallConfig::fused(FusedMode::Always)).unwrap();
-        let mut caller = ring.caller();
-        for _ in 0..100 {
-            caller
-                .call_with(rev, b"abcdef", 0, |resp| assert_eq!(resp, b"fedcba"))
-                .unwrap();
+        // Both engine shapes: one shared ring with two responders, and two
+        // shards with one home responder each.
+        for shards in [1, 2] {
+            let (t, rev, _) = echo_table();
+            let ring = ByteRing::spawn_sharded(
+                t,
+                8,
+                shards,
+                ResponderPolicy::fixed(2),
+                HotCallConfig::fused(FusedMode::Always),
+            )
+            .unwrap();
+            let mut a = ring.caller();
+            let mut b = ring.caller();
+            for _ in 0..50 {
+                a.call_with(rev, b"abc", 0, |resp| assert_eq!(resp, b"cba"))
+                    .unwrap();
+                b.call_with(rev, b"wxyz", 0, |resp| assert_eq!(resp, b"zyxw"))
+                    .unwrap();
+            }
+            for caller in [&a, &b] {
+                let stats = caller.arena_stats();
+                assert_eq!(stats.inline_hits, 50);
+                assert_eq!(stats.allocs, 0, "fused path must stay heap-free too");
+            }
+            let s = ring.stats();
+            assert_eq!(s.calls, 100);
+            assert_eq!(s.fused_runs, 100, "{s:?}");
         }
-        let stats = caller.arena_stats();
-        assert_eq!(stats.inline_hits, 100);
-        assert_eq!(stats.allocs, 0, "fused path must stay heap-free too");
-        let s = ring.stats();
-        assert_eq!(s.calls, 100);
-        assert_eq!(s.fused_runs, 100, "{s:?}");
-    }
-
-    #[test]
-    fn fused_sharded_byte_calls_count_and_conserve() {
-        use crate::config::FusedMode;
-        let (t, rev, _) = echo_table();
-        let ring = ByteRing::spawn_sharded(
-            t,
-            8,
-            ShardPolicy::fixed(2),
-            HotCallConfig::fused(FusedMode::Always),
-        )
-        .unwrap();
-        let mut a = ring.caller();
-        let mut b = ring.caller();
-        for _ in 0..50 {
-            a.call_with(rev, b"abc", 0, |resp| assert_eq!(resp, b"cba"))
-                .unwrap();
-            b.call_with(rev, b"wxyz", 0, |resp| assert_eq!(resp, b"zyxw"))
-                .unwrap();
-        }
-        let s = ring.stats();
-        assert_eq!(s.calls, 100);
-        assert_eq!(s.fused_runs, 100, "{s:?}");
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! The responder's call table: `call_ID` → handler, mirroring the SDK's
 //! ocall-table indexing the paper reuses for HotCalls.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use crate::error::{HotCallError, Result};
+
 /// A table of request handlers indexed by call id.
 pub struct CallTable<Req, Resp> {
     handlers: Vec<Box<dyn Fn(Req) -> Resp + Send + Sync>>,
@@ -50,6 +54,20 @@ impl<Req, Resp> CallTable<Req, Resp> {
     /// Dispatches a request; `None` for unknown ids.
     pub fn dispatch(&self, id: u32, req: Req) -> Option<Resp> {
         self.handlers.get(id as usize).map(|h| h(req))
+    }
+
+    /// Dispatches a request on behalf of a transport: an unknown id is
+    /// [`HotCallError::UnknownCallId`], and a handler that panics is
+    /// [`HotCallError::HandlerPanicked`] instead of an unwound (dead)
+    /// responder and a caller left waiting on a call that never ends.
+    pub(crate) fn invoke(&self, id: u32, req: Req) -> Result<Resp> {
+        // The handler is `Fn` and owns nothing the caller observes after a
+        // panic, so asserting unwind safety cannot expose broken state.
+        match catch_unwind(AssertUnwindSafe(|| self.dispatch(id, req))) {
+            Ok(Some(resp)) => Ok(resp),
+            Ok(None) => Err(HotCallError::UnknownCallId(id)),
+            Err(_) => Err(HotCallError::HandlerPanicked),
+        }
     }
 }
 

@@ -1,28 +1,36 @@
-//! The threaded HotCalls runtime: a real switchless-call channel.
+//! The threaded HotCalls runtime: real switchless-call channels.
 //!
-//! This is the artifact a downstream user adopts: a dedicated responder
-//! thread polls a shared mailbox in a spin loop (`PAUSE` hints, no
-//! syscalls), requesters publish work through an atomic state machine, and
-//! the paper's practical considerations — timeout fallback, idle sleep on a
-//! condition variable, utilization accounting — are all implemented.
+//! This is the artifact a downstream user adopts. Two planes live here:
 //!
-//! The protocol matches Fig. 9 of the paper: requester acquires the
-//! (logical) lock by CASing the state word, writes the request, signals
-//! "go", and spins for completion; the responder polls, executes via the
-//! call table, and signals "done".
+//! * [`HotCallServer`] — the paper's Fig. 9 mailbox: a dedicated responder
+//!   thread polls one shared slot in a spin loop (`PAUSE` hints, no
+//!   syscalls); a requester acquires the (logical) lock by CASing the
+//!   state word, writes the request, signals "go", and spins for
+//!   completion; the responder executes via the call table and signals
+//!   "done". The paper's practical considerations — timeout fallback,
+//!   idle sleep on a condition variable, utilization accounting — are all
+//!   implemented.
+//! * [`RingServer`] — the ring engine every scaled-out shape runs on: one
+//!   or more submission rings (shards) drained in batches by a responder
+//!   pool that steals across shards, with pipelined tickets, call
+//!   bundles, an adaptive governor and the fused run-to-completion path.
+//!   One shard is the paper's shared ring; N shards pin requesters to
+//!   home rings so they never share a head CAS. [`ByteRing`] and
+//!   [`SgRing`] specialize it to arena-backed byte and scatter-gather
+//!   payloads.
 //!
-//! The data plane is lock-free: payloads live in `UnsafeCell`s whose
+//! Both data planes are lock-free: payloads live in `UnsafeCell`s whose
 //! exclusive access is granted by the state machine's acquire/release
-//! edges (see [`slot`]’s `CallSlot`), the state word sits on its own cache
-//! line, and hot-path statistics are responder-local counters flushed with
-//! plain stores. For a queued, multi-responder variant see [`RingServer`].
+//! edges (see [`slot`]’s `CallSlot`), the state words sit on their own
+//! cache lines, and hot-path statistics are responder-local counters
+//! flushed with plain stores. A panicking handler fails only its own call
+//! ([`HotCallError::HandlerPanicked`]); the responder keeps serving.
 
 pub mod arena;
 mod bytes;
 mod calltable;
 mod pool;
 mod ring;
-mod shard;
 mod slot;
 mod stream;
 
@@ -30,7 +38,6 @@ pub use arena::{ArenaStats, HotBuf, SgList, SlabArena, INLINE_CAPACITY};
 pub use bytes::{ByteBundle, ByteCallTable, ByteCaller, ByteRing};
 pub use calltable::CallTable;
 pub use ring::{Bundle, BundleTicket, RingRequester, RingServer, Ticket};
-pub use shard::{ShardedRequester, ShardedServer};
 pub use stream::{
     SgCallTable, SgRing, StreamCaller, StreamReport, DEFAULT_SEGMENT_BYTES, DEFAULT_STREAM_WINDOW,
 };
@@ -219,9 +226,7 @@ fn responder_loop<Req, Resp>(
             // SAFETY: SUBMITTED observed with Acquire and this thread is
             // the mailbox's only responder, so it owns servicing.
             let (id, req) = unsafe { shared.slot.take_request() };
-            let result = table
-                .dispatch(id, req)
-                .ok_or(HotCallError::UnknownCallId(id));
+            let result = table.invoke(id, req);
             local.calls += 1;
             local.busy_polls += 1;
             // Flush before DONE: the Release below orders these stores, so
@@ -572,6 +577,22 @@ mod tests {
             r.call(99, 1),
             Err(HotCallError::UnknownCallId(99))
         ));
+    }
+
+    #[test]
+    fn panicking_handler_fails_its_call_and_keeps_the_responder() {
+        let mut t: CallTable<u64, u64> = CallTable::new();
+        let boom = t.register(|x| {
+            assert!(x != 13, "unlucky request");
+            x
+        });
+        let server = HotCallServer::spawn(t, HotCallConfig::patient());
+        let r = server.requester();
+        assert!(matches!(
+            r.call(boom, 13),
+            Err(HotCallError::HandlerPanicked)
+        ));
+        assert_eq!(r.call(boom, 12).unwrap(), 12);
     }
 
     #[test]

@@ -629,6 +629,11 @@ pub(crate) struct StatCell {
     pub(crate) calls: AtomicU64,
     pub(crate) busy_polls: AtomicU64,
     pub(crate) idle_polls: AtomicU64,
+    /// Drain passes over the responder's home shard.
+    pub(crate) home_polls: AtomicU64,
+    /// Probes into sibling shards, and the probes that claimed work.
+    pub(crate) steals: AtomicU64,
+    pub(crate) steal_hits: AtomicU64,
     /// Per-responder queue/service histograms (telemetry plane).
     pub(crate) stages: StageCells,
 }
@@ -642,6 +647,9 @@ pub(crate) struct LocalStats {
     pub(crate) calls: u64,
     pub(crate) busy_polls: u64,
     pub(crate) idle_polls: u64,
+    pub(crate) home_polls: u64,
+    pub(crate) steals: u64,
+    pub(crate) steal_hits: u64,
 }
 
 impl LocalStats {
@@ -653,6 +661,9 @@ impl LocalStats {
         cell.calls.store(self.calls, Ordering::Relaxed);
         cell.busy_polls.store(self.busy_polls, Ordering::Relaxed);
         cell.idle_polls.store(self.idle_polls, Ordering::Relaxed);
+        cell.home_polls.store(self.home_polls, Ordering::Relaxed);
+        cell.steals.store(self.steals, Ordering::Relaxed);
+        cell.steal_hits.store(self.steal_hits, Ordering::Relaxed);
     }
 }
 

@@ -22,15 +22,12 @@
 
 use std::collections::VecDeque;
 
-use crate::config::{
-    GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
-};
+use crate::config::{GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats};
 use crate::error::Result;
 use crate::telemetry::{PlaneProvider, PlaneTelemetry};
 
 use super::arena::{ArenaStats, SgList, SlabArena};
 use super::ring::{RingRequester, RingServer, Ticket};
-use super::shard::{ShardedRequester, ShardedServer};
 use super::CallTable;
 
 /// Default arena segment size for scatter-gather transfers: big enough
@@ -106,15 +103,7 @@ impl SgCallTable {
 /// ```
 #[derive(Debug)]
 pub struct SgRing {
-    plane: SgPlane,
-}
-
-/// The transport behind an [`SgRing`]: one shared ring, or the sharded
-/// multi-ring plane.
-#[derive(Debug)]
-enum SgPlane {
-    Single(RingServer<SgList, SgList>),
-    Sharded(ShardedServer<SgList, SgList>),
+    server: RingServer<SgList, SgList>,
 }
 
 impl SgRing {
@@ -129,14 +118,8 @@ impl SgRing {
         n_responders: usize,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(SgRing {
-            plane: SgPlane::Single(RingServer::spawn_pool(
-                table.inner,
-                capacity,
-                n_responders,
-                config,
-            )?),
-        })
+        RingServer::spawn_pool(table.inner, capacity, n_responders, config)
+            .map(|server| SgRing { server })
     }
 
     /// Spawns an adaptive pool governed by `policy` (see
@@ -151,223 +134,105 @@ impl SgRing {
         policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(SgRing {
-            plane: SgPlane::Single(RingServer::spawn_adaptive(
-                table.inner,
-                capacity,
-                policy,
-                config,
-            )?),
-        })
+        RingServer::spawn_adaptive(table.inner, capacity, policy, config)
+            .map(|server| SgRing { server })
     }
 
-    /// Spawns the sharded plane (see [`ShardedServer::spawn`]).
+    /// Spawns the sharded shape (see [`RingServer::spawn_sharded`]).
     ///
     /// # Errors
     ///
-    /// As [`ShardedServer::spawn`].
+    /// As [`RingServer::spawn_sharded`].
     pub fn spawn_sharded(
         table: SgCallTable,
         capacity_per_shard: usize,
-        policy: ShardPolicy,
+        shards: usize,
+        policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(SgRing {
-            plane: SgPlane::Sharded(ShardedServer::spawn(
-                table.inner,
-                capacity_per_shard,
-                policy,
-                config,
-            )?),
-        })
+        RingServer::spawn_sharded(table.inner, capacity_per_shard, shards, policy, config)
+            .map(|server| SgRing { server })
     }
 
     /// A caller handle with its own private arena and reusable stream
-    /// state. On a sharded plane the caller is pinned to a router-chosen
-    /// home shard.
+    /// state, pinned to a router-chosen home shard.
     pub fn caller(&self) -> StreamCaller {
-        let requester = match &self.plane {
-            SgPlane::Single(server) => SgRequester::Single(server.requester()),
-            SgPlane::Sharded(server) => SgRequester::Sharded(server.requester()),
-        };
-        StreamCaller::new(requester)
+        StreamCaller::new(self.server.requester())
     }
 
     /// A caller placed on logical core `core` (see
-    /// [`ShardedServer::requester_near`]); on a single-ring plane there
-    /// is nothing to choose.
+    /// [`RingServer::requester_near`]).
     pub fn caller_near(&self, core: usize, topology: &sgx_sim::Topology) -> StreamCaller {
-        let requester = match &self.plane {
-            SgPlane::Single(server) => SgRequester::Single(server.requester()),
-            SgPlane::Sharded(server) => SgRequester::Sharded(server.requester_near(core, topology)),
-        };
-        StreamCaller::new(requester)
+        StreamCaller::new(self.server.requester_near(core, topology))
     }
 
-    /// A caller pinned to an explicit home shard. On a single-ring plane
-    /// only shard 0 exists.
+    /// A caller pinned to an explicit home shard.
     ///
     /// # Errors
     ///
     /// [`crate::HotCallError::InvalidConfig`] if `shard` is out of range.
     pub fn caller_on(&self, shard: usize) -> Result<StreamCaller> {
-        let requester = match &self.plane {
-            SgPlane::Single(server) => {
-                if shard != 0 {
-                    return Err(crate::error::HotCallError::InvalidConfig(
-                        "shard affinity index out of range",
-                    ));
-                }
-                SgRequester::Single(server.requester())
-            }
-            SgPlane::Sharded(server) => SgRequester::Sharded(server.requester_on(shard)?),
-        };
-        Ok(StreamCaller::new(requester))
+        self.server.requester_on(shard).map(StreamCaller::new)
     }
 
     /// Number of responder threads in the pool (active and parked).
     pub fn responders(&self) -> usize {
-        match &self.plane {
-            SgPlane::Single(server) => server.responders(),
-            SgPlane::Sharded(server) => server.shards(),
-        }
+        self.server.responders()
     }
 
-    /// Number of ring shards (1 for the single-ring plane).
+    /// Number of ring shards (1 for the shared-ring shapes).
     pub fn shards(&self) -> usize {
-        match &self.plane {
-            SgPlane::Single(_) => 1,
-            SgPlane::Sharded(server) => server.shards(),
-        }
+        self.server.shards()
     }
 
     /// Transport statistics, aggregated over the responder pool.
     pub fn stats(&self) -> HotCallStats {
-        match &self.plane {
-            SgPlane::Single(server) => server.stats(),
-            SgPlane::Sharded(server) => server.stats(),
-        }
+        self.server.stats()
     }
 
     /// The governor's current shape and decision counters.
     pub fn governor_stats(&self) -> GovernorStats {
-        match &self.plane {
-            SgPlane::Single(server) => server.governor_stats(),
-            SgPlane::Sharded(server) => server.governor_stats(),
-        }
+        self.server.governor_stats()
     }
 
-    /// Sets the plane's active responder/shard target (the `ctl` sizer's
-    /// control surface), clamped into the policy's bounds.
+    /// Sets the plane's active responder target (the `ctl` sizer's control
+    /// surface), clamped into the policy's bounds.
     pub fn set_active(&self, n: usize) -> usize {
-        match &self.plane {
-            SgPlane::Single(server) => server.set_active_responders(n),
-            SgPlane::Sharded(server) => server.set_active_shards(n),
-        }
+        self.server.set_active_responders(n)
     }
 
-    /// The full per-shard snapshot. A single-ring plane reports itself as
-    /// one degenerate shard.
+    /// The full per-shard snapshot (a shared-ring plane reports one row).
     pub fn ring_stats(&self) -> RingStats {
-        match &self.plane {
-            SgPlane::Single(server) => {
-                RingStats::from_single(server.stats(), server.governor_stats())
-            }
-            SgPlane::Sharded(server) => server.ring_stats(),
-        }
+        self.server.ring_stats()
     }
 
     /// A full telemetry view of the plane, tagged with the sg-plane kind
     /// so dashboards can tell bandwidth lanes from byte and typed rings.
     pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
-        let mut t = match &self.plane {
-            SgPlane::Single(server) => server.telemetry(name),
-            SgPlane::Sharded(server) => server.telemetry(name),
-        };
-        t.kind = self.plane_kind();
-        t
+        PlaneTelemetry {
+            kind: self.plane_kind(),
+            ..self.server.telemetry(name)
+        }
     }
 
     /// A boxed provider for [`crate::TelemetryRegistry::register_plane`],
     /// capturing the plane's shared state so snapshots stay live after
     /// this handle is dropped.
     pub fn telemetry_provider(&self, name: impl Into<String>) -> PlaneProvider {
-        let kind = self.plane_kind();
-        let inner = match &self.plane {
-            SgPlane::Single(server) => server.telemetry_provider(name),
-            SgPlane::Sharded(server) => server.telemetry_provider(name),
-        };
-        Box::new(move || {
-            let mut t = inner();
-            t.kind = kind;
-            t
-        })
+        self.server.telemetry_provider_as(name, self.plane_kind())
     }
 
     fn plane_kind(&self) -> &'static str {
-        match &self.plane {
-            SgPlane::Single(_) => "sg-single",
-            SgPlane::Sharded(_) => "sg-sharded",
+        if self.shards() > 1 {
+            "sg-sharded"
+        } else {
+            "sg-single"
         }
     }
 
     /// Stops the responders and joins them.
     pub fn shutdown(self) {
-        match self.plane {
-            SgPlane::Single(server) => server.shutdown(),
-            SgPlane::Sharded(server) => server.shutdown(),
-        }
-    }
-}
-
-/// The requester half matching [`SgPlane`].
-#[derive(Debug)]
-enum SgRequester {
-    Single(RingRequester<SgList, SgList>),
-    Sharded(ShardedRequester<SgList, SgList>),
-}
-
-impl SgRequester {
-    fn call(&self, id: u32, sg: SgList) -> Result<SgList> {
-        match self {
-            SgRequester::Single(r) => r.call(id, sg),
-            SgRequester::Sharded(r) => r.call(id, sg),
-        }
-    }
-
-    fn submit(&self, id: u32, sg: SgList) -> Result<Ticket> {
-        match self {
-            SgRequester::Single(r) => r.submit(id, sg),
-            SgRequester::Sharded(r) => r.submit(id, sg),
-        }
-    }
-
-    fn wait(&self, ticket: Ticket) -> Result<SgList> {
-        match self {
-            SgRequester::Single(r) => r.wait(ticket),
-            SgRequester::Sharded(r) => r.wait(ticket),
-        }
-    }
-
-    fn stats(&self) -> HotCallStats {
-        match self {
-            SgRequester::Single(r) => r.stats(),
-            SgRequester::Sharded(r) => r.stats(),
-        }
-    }
-
-    fn governor_stats(&self) -> GovernorStats {
-        match self {
-            SgRequester::Single(r) => r.governor_stats(),
-            SgRequester::Sharded(r) => r.governor_stats(),
-        }
-    }
-
-    fn home(&self) -> usize {
-        match self {
-            SgRequester::Single(_) => 0,
-            SgRequester::Sharded(r) => r.home(),
-        }
+        self.server.shutdown();
     }
 }
 
@@ -394,7 +259,7 @@ pub struct StreamReport {
 /// nothing per chunk.
 #[derive(Debug)]
 pub struct StreamCaller {
-    requester: SgRequester,
+    requester: RingRequester<SgList, SgList>,
     arena: SlabArena,
     segment_bytes: usize,
     /// In-flight chunks in submission order; redeemed FIFO so responses
@@ -404,7 +269,7 @@ pub struct StreamCaller {
 }
 
 impl StreamCaller {
-    fn new(requester: SgRequester) -> Self {
+    fn new(requester: RingRequester<SgList, SgList>) -> Self {
         StreamCaller {
             requester,
             arena: SlabArena::new(),
@@ -560,7 +425,7 @@ impl StreamCaller {
     }
 
     /// The home shard this caller's submissions land on (always 0 on a
-    /// single-ring plane).
+    /// shared-ring plane).
     pub fn home_shard(&self) -> usize {
         self.requester.home()
     }
@@ -755,7 +620,8 @@ mod tests {
     fn sharded_sg_plane_streams_and_reports() {
         let (t, xor, _) = xor_table();
         let ring =
-            SgRing::spawn_sharded(t, 8, ShardPolicy::fixed(2), HotCallConfig::patient()).unwrap();
+            SgRing::spawn_sharded(t, 8, 2, ResponderPolicy::fixed(2), HotCallConfig::patient())
+                .unwrap();
         assert_eq!(ring.shards(), 2);
         let mut caller = ring.caller();
         let data = pattern(256 << 10);

@@ -427,10 +427,10 @@ pub struct GovernorStats {
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
-    /// Calls serviced by this shard's home responder (including stolen
-    /// work it drained from siblings).
+    /// Calls serviced by this shard's home responders (including stolen
+    /// work they drained from siblings).
     pub serviced: u64,
-    /// Polls the home responder spent on its own ring.
+    /// Polls the home responders spent on their own ring.
     pub home_polls: u64,
     /// Steal probes into sibling shards.
     pub steals: u64,
@@ -439,7 +439,8 @@ pub struct ShardStats {
     /// Wakes redirected to this shard's responder for another shard's
     /// submission.
     pub cross_shard_wakes: u64,
-    /// Is this shard currently parked by the governor?
+    /// Is this shard currently parked by the governor (no active home
+    /// responder)?
     pub parked: bool,
     /// Submitted-but-unserviced entries at snapshot time.
     pub occupancy: usize,
@@ -1211,7 +1212,7 @@ impl TelemetryRegistry {
     }
 
     /// Registers a plane provider (see `telemetry_provider` on
-    /// `RingServer`, `ShardedServer`, and `ByteRing`).
+    /// `RingServer`, `ByteRing`, and `SgRing`).
     pub fn register_plane(&self, provider: PlaneProvider) {
         self.inner
             .lock()

@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use hotcalls::rt::{CallTable, HotCallServer, RingServer, ShardedServer};
-use hotcalls::{block_on, FusedMode, HotCallConfig, Reactor, ResponderPolicy, ShardPolicy};
+use hotcalls::rt::{CallTable, HotCallServer, RingServer};
+use hotcalls::{block_on, FusedMode, HotCallConfig, Reactor, ResponderPolicy};
 
 /// Runs `f` on a helper thread and panics if it has not finished within
 /// `deadline` — the "timeout assert" form of a parking executor: a lost
@@ -61,60 +61,28 @@ proptest! {
     // Every case spawns threads; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Ring futures under every fused mode and an arbitrary drop mask:
-    /// redeemed futures resolve to their own response, dropped futures
-    /// abandon cleanly, and the plane still serves a full sync sweep
-    /// afterwards. A lost wakeup anywhere trips the watchdog.
+    /// Ring futures under every fused mode and an arbitrary drop mask, on
+    /// both engine shapes (one shared ring drained by `n` responders, or
+    /// `n` shards — where the abandon board and waker slot live per
+    /// shard): redeemed futures resolve to their own response, dropped
+    /// futures abandon cleanly, and the plane still serves a full sync
+    /// sweep afterwards. A lost wakeup anywhere trips the watchdog.
     #[test]
     fn ring_futures_survive_arbitrary_interleavings(
         capacity in 1usize..6,
-        responders in 1usize..3,
+        n in 1usize..3,
+        sharded in any::<bool>(),
         fused_tag in 0u8..3,
         drop_mask in proptest::collection::vec(any::<bool>(), 1..48),
     ) {
         with_watchdog(WATCHDOG, move || {
             let mut table: CallTable<u64, u64> = CallTable::new();
             let id = table.register(|x| x.wrapping_mul(3));
-            let server = RingServer::spawn_pool(
+            let server = RingServer::spawn_sharded(
                 table,
                 capacity,
-                responders,
-                spin_config(fused_of(fused_tag)),
-            )
-            .unwrap();
-            let r = server.requester();
-            for (i, &drop_it) in drop_mask.iter().enumerate() {
-                let x = i as u64;
-                let fut = r.call_async(id, x).unwrap();
-                if drop_it {
-                    drop(fut);
-                } else {
-                    assert_eq!(block_on(fut).unwrap(), x.wrapping_mul(3));
-                }
-            }
-            for x in 0..(2 * capacity) as u64 {
-                assert_eq!(r.call(id, x).unwrap(), x.wrapping_mul(3));
-            }
-            server.shutdown();
-        });
-    }
-
-    /// The same interleavings through the sharded plane, where the
-    /// abandon board and waker slot live per shard.
-    #[test]
-    fn shard_futures_survive_arbitrary_interleavings(
-        capacity in 1usize..6,
-        shards in 1usize..3,
-        fused_tag in 0u8..3,
-        drop_mask in proptest::collection::vec(any::<bool>(), 1..48),
-    ) {
-        with_watchdog(WATCHDOG, move || {
-            let mut table: CallTable<u64, u64> = CallTable::new();
-            let id = table.register(|x| x.wrapping_mul(3));
-            let server = ShardedServer::spawn(
-                table,
-                capacity,
-                ShardPolicy::fixed(shards),
+                if sharded { n } else { 1 },
+                ResponderPolicy::fixed(n),
                 spin_config(fused_of(fused_tag)),
             )
             .unwrap();

@@ -9,8 +9,8 @@
 //! — under the old behaviour every one of them deadlocks — and then proves
 //! the plane still serves sync traffic at full capacity.
 
-use hotcalls::rt::{CallTable, HotCallServer, RingServer, ShardedServer};
-use hotcalls::{HotCallConfig, ShardPolicy};
+use hotcalls::rt::{CallTable, HotCallServer, RingServer};
+use hotcalls::{HotCallConfig, ResponderPolicy};
 
 /// Spin-only config so a test failure is a fast spin, not a parked doze.
 fn spin_config() -> HotCallConfig {
@@ -30,66 +30,54 @@ const CAPACITY: usize = 4;
 /// Enough abandoned calls to wrap the ring several times over.
 const DROPS: usize = 4 * CAPACITY;
 
-#[test]
-fn ring_dropped_ticket_releases_its_slot() {
+/// Both ring-engine shapes, as `(shards, responders)`: one shared ring
+/// drained by a pool, and one shard per responder.
+const SHAPES: [(usize, usize); 2] = [(1, 2), (2, 2)];
+
+fn spawn_shape((shards, responders): (usize, usize)) -> (RingServer<u64, u64>, u32) {
     let (table, id) = table();
-    let server = RingServer::spawn_pool(table, CAPACITY, 1, spin_config()).unwrap();
-    let r = server.requester();
-    for i in 0..DROPS as u64 {
-        let ticket = r.submit(id, i).unwrap();
-        drop(ticket); // never redeemed: the old leak, many times over
-    }
-    // The ring still serves: more sync calls than slots, all correct.
-    for i in 0..(2 * CAPACITY) as u64 {
-        assert_eq!(r.call(id, i).unwrap(), i.wrapping_add(7));
-    }
-    server.shutdown();
+    let server = RingServer::spawn_sharded(
+        table,
+        CAPACITY,
+        shards,
+        ResponderPolicy::fixed(responders),
+        spin_config(),
+    )
+    .unwrap();
+    (server, id)
 }
 
 #[test]
-fn ring_interleaved_drops_and_waits_stay_correct() {
-    let (table, id) = table();
-    let server = RingServer::spawn_pool(table, CAPACITY, 1, spin_config()).unwrap();
-    let r = server.requester();
-    for round in 0..DROPS as u64 {
-        let dropped = r.submit(id, 1_000 + round).unwrap();
-        let kept = r.submit(id, round).unwrap();
-        drop(dropped);
-        // The kept ticket redeems its own response, not the orphan's.
-        assert_eq!(r.wait(kept).unwrap(), round.wrapping_add(7));
+fn dropped_ticket_releases_its_slot() {
+    for shape in SHAPES {
+        let (server, id) = spawn_shape(shape);
+        let r = server.requester();
+        for i in 0..DROPS as u64 {
+            let ticket = r.submit(id, i).unwrap();
+            drop(ticket); // never redeemed: the old leak, many times over
+        }
+        // The ring still serves: more sync calls than slots, all correct.
+        for i in 0..(2 * CAPACITY) as u64 {
+            assert_eq!(r.call(id, i).unwrap(), i.wrapping_add(7));
+        }
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 #[test]
-fn shard_dropped_ticket_releases_its_slot() {
-    let (table, id) = table();
-    let server =
-        ShardedServer::spawn(table, CAPACITY, ShardPolicy::fixed(2), spin_config()).unwrap();
-    let r = server.requester();
-    for i in 0..DROPS as u64 {
-        let ticket = r.submit(id, i).unwrap();
-        drop(ticket);
+fn interleaved_drops_and_waits_stay_correct() {
+    for shape in SHAPES {
+        let (server, id) = spawn_shape(shape);
+        let r = server.requester();
+        for round in 0..DROPS as u64 {
+            let dropped = r.submit(id, 1_000 + round).unwrap();
+            let kept = r.submit(id, round).unwrap();
+            drop(dropped);
+            // The kept ticket redeems its own response, not the orphan's.
+            assert_eq!(r.wait(kept).unwrap(), round.wrapping_add(7));
+        }
+        server.shutdown();
     }
-    for i in 0..(2 * CAPACITY) as u64 {
-        assert_eq!(r.call(id, i).unwrap(), i.wrapping_add(7));
-    }
-    server.shutdown();
-}
-
-#[test]
-fn shard_interleaved_drops_and_waits_stay_correct() {
-    let (table, id) = table();
-    let server =
-        ShardedServer::spawn(table, CAPACITY, ShardPolicy::fixed(2), spin_config()).unwrap();
-    let r = server.requester();
-    for round in 0..DROPS as u64 {
-        let dropped = r.submit(id, 1_000 + round).unwrap();
-        let kept = r.submit(id, round).unwrap();
-        drop(dropped);
-        assert_eq!(r.wait(kept).unwrap(), round.wrapping_add(7));
-    }
-    server.shutdown();
 }
 
 #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo-wide gate: formatting, lints, and the tier-1 build + tests.
+# Repo-wide gate: formatting, lints, the tier-1 build + tests, and the
+# whole workspace's tests.
 # Run from anywhere; everything executes at the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,6 +35,15 @@ cargo test -p hotcalls --test prop_ctl --features telemetry-off -q
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+# Tier-1 tests only the root package. Every crate's unit tests and the
+# hotcalls integration suites run here, and the hotcalls proptests run
+# once more in release, where the ring engine's interleavings go at full
+# speed.
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
+echo "==> cargo test --release -p hotcalls --tests -q"
+cargo test --release -p hotcalls --tests -q
 
 # The load-curve harness self-checks its own claims (100k-connection
 # multiplexing witnessed, HotCalls knee >= 2x SDK per app, open-loop
