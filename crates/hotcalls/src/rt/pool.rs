@@ -11,9 +11,11 @@
 //! slots privately. The CAS is the ownership transfer — winning it while
 //! `tail` is unchanged proves no other responder (home or stealer) touched
 //! those slots (`tail` is monotonic, so there is no ABA), and requesters
-//! cannot recycle a slot until it is serviced *and* redeemed. Batching
-//! amortizes both the CAS and the wake/schedule cost of the drain, which
-//! is where switchless designs win under IO-heavy load.
+//! cannot recycle a slot until it is serviced *and* redeemed. A lost CAS
+//! retries at once from the fresh tail and never counts as an idle pass,
+//! so it does not move the governor's or the autosizer's poll ratios.
+//! Batching amortizes both the CAS and the wake/schedule cost of the
+//! drain, which is where switchless designs win under IO-heavy load.
 //!
 //! With an adaptive [`ResponderPolicy`] the loop grows two extra branches:
 //!
@@ -42,7 +44,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::config::{FusedMode, HotCallConfig, ResponderPolicy};
+use crate::config::{HotCallConfig, ResponderPolicy};
 use crate::telemetry::{now_cycles, trace, TELEMETRY_ENABLED};
 
 use super::ring::{ReqEnvelope, RespEnvelope, RingShared, RingSlot};
@@ -282,9 +284,6 @@ pub(super) struct Responder<'a, Req, Resp> {
     index: usize,
     home: usize,
     batch: usize,
-    /// No other thread ever CASes this plane's tails: one responder, no
-    /// fused self-service.
-    sole_claimant: bool,
     cell: &'a StatCell,
     local: LocalStats,
 }
@@ -301,7 +300,6 @@ impl<'a, Req, Resp> Responder<'a, Req, Resp> {
             index,
             home: index % plane.shards.len(),
             batch: config.drain_batch_clamped(),
-            sole_claimant: plane.responders.len() == 1 && config.fused_mode == FusedMode::Off,
             cell,
             local: LocalStats::default(),
         }
@@ -309,53 +307,50 @@ impl<'a, Req, Resp> Responder<'a, Req, Resp> {
 
     /// Claims and services one batched run from the front of shard
     /// `shard_idx` (a steal when it is not the home shard). Returns the
-    /// number of slots serviced: 0 if the shard was empty or another
-    /// responder won the tail CAS.
+    /// number of slots serviced, 0 only if the shard front is empty: a
+    /// tail CAS lost to another claimant retries at once from the fresh
+    /// tail, since the shard still had work, so a lost race never counts
+    /// toward the idle, demote or doze thresholds.
     pub(super) fn drain(&mut self, shard_idx: usize) -> usize {
         let shard = &self.plane.shards[shard_idx];
         let cap = shard.slots.len();
-        let tail = shard.tail.load(Ordering::Acquire);
-        if shard.slots[tail % cap].state() != SUBMITTED {
-            // Idle poll: the requesters' head line stays untouched.
-            return 0;
-        }
-        // Scan only slots claimed in this lap: `[tail, head)`, with `head`
-        // loaded after `tail` (so `head - tail` cannot underflow). A scan
-        // bounded by the capacity alone can wrap onto slots a racing
-        // claimant (responder, stealer, or fusing requester) already won
-        // with its tail CAS but has not taken yet — still SUBMITTED — and
-        // service them a second time. A sole claimant has no such rival:
-        // every run it claimed before is serviced, so a SUBMITTED slot
-        // within one lap of `tail` is this lap's, and the capacity bound
-        // spares the per-call transfer of the requesters' head line.
-        let limit = if self.sole_claimant {
-            cap.min(self.batch)
-        } else {
+        let (tail, run) = loop {
+            let tail = shard.tail.load(Ordering::Acquire);
+            if shard.slots[tail % cap].state() != SUBMITTED {
+                // Idle poll: the requesters' head line stays untouched.
+                return 0;
+            }
+            // Scan only slots claimed in this lap: `[tail, head)`, with
+            // `head` loaded after `tail` (so `head - tail` cannot
+            // underflow). A scan bounded by the capacity alone can wrap
+            // onto slots a racing claimant (responder, stealer, or fusing
+            // requester) already won with its tail CAS but has not taken
+            // yet — still SUBMITTED — and service them a second time.
             let head = shard.head.load(Ordering::Acquire);
-            head.wrapping_sub(tail).min(self.batch)
-        };
-        let mut run = 0usize;
-        while run < limit && shard.slots[tail.wrapping_add(run) % cap].state() == SUBMITTED {
-            run += 1;
-        }
-        if run == 0 {
-            return 0;
-        }
-        if shard
-            .tail
-            .compare_exchange(
-                tail,
-                tail.wrapping_add(run),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
+            let limit = head.wrapping_sub(tail).min(self.batch);
+            let mut run = 0usize;
+            while run < limit && shard.slots[tail.wrapping_add(run) % cap].state() == SUBMITTED {
+                run += 1;
+            }
+            if run == 0 {
+                return 0;
+            }
+            if shard
+                .tail
+                .compare_exchange(
+                    tail,
+                    tail.wrapping_add(run),
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                )
+                .is_ok()
+            {
+                break (tail, run);
+            }
             // Another responder (home or stealer) or a fusing requester
-            // claimed the front first.
+            // claimed the front first; retry with a fresh tail.
             core::hint::spin_loop();
-            return 0;
-        }
+        };
         if shard_idx != self.home {
             // Counted before servicing: `service_slot` flushes before the
             // DONE hand-off, so whoever sees a stolen completion also sees
@@ -371,9 +366,8 @@ impl<'a, Req, Resp> Responder<'a, Req, Resp> {
             // ownership of slots [tail, tail+run) on this shard to this
             // thread: tail was unchanged between the SUBMITTED scan and the
             // CAS (tail is monotonic, so CAS success rules out any
-            // concurrent claim), the scan stayed in this lap (below `head`,
-            // or for a sole claimant within one lap of a tail only it
-            // advances), and no requester can recycle these slots before
+            // concurrent claim), the scan stayed in this lap (below
+            // `head`), and no requester can recycle these slots before
             // they are serviced here and then redeemed. SUBMITTED was
             // observed with Acquire, so the payload is visible.
             unsafe { service_slot(slot, &self.plane.table, &mut self.local, self.cell) };

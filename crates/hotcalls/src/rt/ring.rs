@@ -1485,10 +1485,10 @@ mod tests {
     use super::*;
     use crate::rt::pool::Responder;
 
-    /// The two engine shapes every shape-agnostic test runs on, as
-    /// `(shards, responders)`: the paper's shared ring drained by a pool,
-    /// and one ring per responder.
-    const SHAPES: [(usize, usize); 2] = [(1, 2), (2, 2)];
+    /// The engine shapes every shape-agnostic test runs on, as
+    /// `(shards, responders)`: the paper's shared ring with one responder
+    /// and drained by a pool, and one ring per responder.
+    const SHAPES: [(usize, usize); 3] = [(1, 1), (1, 2), (2, 2)];
 
     fn table() -> (CallTable<u64, u64>, u32) {
         let mut t = CallTable::new();

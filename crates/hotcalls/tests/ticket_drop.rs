@@ -30,9 +30,9 @@ const CAPACITY: usize = 4;
 /// Enough abandoned calls to wrap the ring several times over.
 const DROPS: usize = 4 * CAPACITY;
 
-/// Both ring-engine shapes, as `(shards, responders)`: one shared ring
-/// drained by a pool, and one shard per responder.
-const SHAPES: [(usize, usize); 2] = [(1, 2), (2, 2)];
+/// The ring-engine shapes, as `(shards, responders)`: one shared ring
+/// with one responder and drained by a pool, and one shard per responder.
+const SHAPES: [(usize, usize); 3] = [(1, 1), (1, 2), (2, 2)];
 
 fn spawn_shape((shards, responders): (usize, usize)) -> (RingServer<u64, u64>, u32) {
     let (table, id) = table();
